@@ -249,7 +249,9 @@ func OpenGraphFile(path string) (*GraphHandle, error) {
 // OpenGraphFileContext is OpenGraphFile under a context: an Observer
 // attached via WithObserver records a "graph/load" span and the
 // bitcolor_graph_load_* metric families (mapped v2 loads are labeled
-// "bcsr-v2-mapped" to separate them from copied ones).
+// "bcsr-v2-mapped" to separate them from copied ones). Edge-list and
+// DIMACS parsing check ctx between input blocks and return ctx.Err()
+// once it is cancelled or past its deadline.
 func OpenGraphFileContext(ctx context.Context, path string) (*GraphHandle, error) {
 	o := obs.FromContext(ctx)
 	sp := o.StartSpan("graph/load").Attr("path", path)
@@ -258,7 +260,7 @@ func OpenGraphFileContext(ctx context.Context, path string) (*GraphHandle, error
 		bytes = st.Size()
 	}
 	start := time.Now()
-	h, label, err := openGraphFile(path)
+	h, label, err := openGraphFile(ctx, path)
 	d := time.Since(start)
 	if h != nil && h.Mapped() {
 		label += "-mapped"
@@ -281,15 +283,16 @@ func OpenGraphFileContext(ctx context.Context, path string) (*GraphHandle, error
 // openGraphFile is the format dispatch behind OpenGraphFile. The
 // returned format names what the path sniffed as, for metric labeling —
 // it is meaningful even when the load itself failed ("unknown" only
-// when the sniff could not run at all).
-func openGraphFile(path string) (*GraphHandle, string, error) {
+// when the sniff could not run at all). The text parsers stop with
+// ctx.Err() when ctx ends mid-parse.
+func openGraphFile(ctx context.Context, path string) (*GraphHandle, string, error) {
 	if strings.HasSuffix(path, ".col") {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, FormatDIMACS, err
 		}
 		defer f.Close()
-		g, err := graph.ReadDIMACS(f)
+		g, err := graph.ReadDIMACSContext(ctx, f)
 		if err != nil {
 			return nil, FormatDIMACS, err
 		}
@@ -327,7 +330,12 @@ func openGraphFile(path string) (*GraphHandle, string, error) {
 		}
 		return &GraphHandle{g: g, format: format}, format, nil
 	default:
-		g, err := graph.LoadEdgeListFile(path)
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, format, err
+		}
+		defer f.Close()
+		g, _, err := graph.ReadEdgeListContext(ctx, f)
 		if err != nil {
 			return nil, format, err
 		}
@@ -682,19 +690,30 @@ const (
 // registry, so no statistics are ever dropped and cancellation/deadlines
 // on ctx abort the run promptly with ctx.Err().
 func ColorContext(ctx context.Context, g *Graph, opts ColorOptions) (*Result, RunStats, error) {
-	info, ok := coloring.LookupIndex(int(opts.Engine))
-	if !ok {
-		return nil, RunStats{}, fmt.Errorf("bitcolor: unknown engine %v", opts.Engine)
-	}
-	res, st, err := info.Run(ctx, g, opts.engineOptions())
+	res, st, err := colorUnverified(ctx, g, opts)
 	if err != nil {
 		return nil, st, err
 	}
-	if err := coloring.Verify(g, res.Colors); err != nil {
+	if err := verifyColoring(g, res.Colors); err != nil {
 		return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
 	}
 	return res, st, nil
 }
+
+// colorUnverified is ColorContext without its verify pass, for callers
+// that verify the coloring themselves: Pipeline.Run checks the
+// un-permuted coloring on the original graph, which covers the engine's.
+func colorUnverified(ctx context.Context, g *Graph, opts ColorOptions) (*Result, RunStats, error) {
+	info, ok := coloring.LookupIndex(int(opts.Engine))
+	if !ok {
+		return nil, RunStats{}, fmt.Errorf("bitcolor: unknown engine %v", opts.Engine)
+	}
+	return info.Run(ctx, g, opts.engineOptions())
+}
+
+// verifyColoring is the verify pass of ColorContext and Pipeline.Run.
+// Tests replace it to count the passes.
+var verifyColoring = coloring.Verify
 
 // ColorHandle runs a software coloring engine against an opened graph
 // handle. It is ColorHandleContext without cancellation.

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"bitcolor/internal/exec"
+	"bitcolor/internal/graph"
 )
 
 const benchGuardEnv = "BITCOLOR_BENCHGUARD"
@@ -54,6 +55,11 @@ type benchBaseline struct {
 	// bounded residency window plus shard mapping costs over keeping the
 	// whole graph resident.
 	OutOfCoreRatio float64 `json:"outofcore_stream_vs_sharded_ratio"`
+	// IngestRatio is OpenGraphFile on CL's SNAP edge-list text (parse on
+	// two workers, then the sort-free build) / warm dct color (one
+	// worker) of the resident graph — what the text load path costs
+	// next to the coloring it feeds.
+	IngestRatio float64 `json:"edgelist_ingest_vs_color_ratio"`
 }
 
 func loadBaseline(t *testing.T) benchBaseline {
@@ -66,7 +72,7 @@ func loadBaseline(t *testing.T) benchBaseline {
 	if err := json.Unmarshal(data, &b); err != nil {
 		t.Fatal(err)
 	}
-	if b.SchemaVersion != 1 || b.GDRatio <= 0 || b.DCTRatio <= 0 || b.E2ERatio <= 0 || b.ShardRatio <= 0 || b.ExecRatio <= 0 || b.OutOfCoreRatio <= 0 {
+	if b.SchemaVersion != 1 || b.GDRatio <= 0 || b.DCTRatio <= 0 || b.E2ERatio <= 0 || b.ShardRatio <= 0 || b.ExecRatio <= 0 || b.OutOfCoreRatio <= 0 || b.IngestRatio <= 0 {
 		t.Fatalf("implausible baseline %+v", b)
 	}
 	return b
@@ -361,6 +367,65 @@ func TestBenchGuardE2ELoadRatio(t *testing.T) {
 	if ratio > limit {
 		t.Fatalf("mapped load path regressed: ratio %.4f exceeds baseline %.4f by more than 10%%",
 			ratio, base.E2ERatio)
+	}
+}
+
+// TestBenchGuardEdgeListIngest pins the text load path: OpenGraphFile
+// on CL written as a SNAP edge list, over a warm single-worker dct
+// color of the same graph, min of 7 interleaved runs each. The parser
+// runs on GOMAXPROCS workers, so the guard fixes GOMAXPROCS at 2 — the
+// shape its baseline was recorded at — and skips on a 1-CPU host. Like
+// the out-of-core guard it retries: each open allocates the whole
+// graph, and a collection landing in every one of 7 runs fakes a
+// regression once but not three times.
+func TestBenchGuardEdgeListIngest(t *testing.T) {
+	if os.Getenv(benchGuardEnv) == "" {
+		t.Skipf("set %s=1 to run the edge-list ingest guard", benchGuardEnv)
+	}
+	if runtime.NumCPU() < 2 {
+		t.Skip("the guard's baseline is for two parse workers; this host has one CPU")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	prepared := guardGraph(t, "CL")
+	base := loadBaseline(t)
+	path := filepath.Join(t.TempDir(), "cl.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(f, prepared); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	limit := base.IngestRatio * 1.10
+	var ratio float64
+	for attempt := 1; ; attempt++ {
+		runtime.GC()
+		color, open := minTimePair(7, func() {
+			if _, _, err := ColorParallel(prepared, ColorOptions{Engine: EngineDCT, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}, func() {
+			h, err := OpenGraphFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ratio = float64(open) / float64(color)
+		t.Logf("attempt %d: edge-list open %v / warm color %v = ratio %.4f (baseline %.4f, limit %.4f)",
+			attempt, open, color, ratio, base.IngestRatio, limit)
+		if ratio <= limit || attempt == 3 {
+			break
+		}
+	}
+	if ratio > limit {
+		t.Fatalf("edge-list ingest regressed: ratio %.4f exceeds baseline %.4f by more than 10%% on every attempt",
+			ratio, base.IngestRatio)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 )
 
 // VertexID is a dense vertex index. The paper uses 32-bit indices (the
@@ -198,41 +199,88 @@ type Edge struct {
 // FromEdgeList builds an undirected CSR over n vertices from an edge list.
 // Each undirected edge {u,v} is stored in both adjacency lists. Self loops
 // are dropped (a self loop would make coloring infeasible) and duplicate
-// edges are removed. Adjacency lists come out sorted ascending.
+// edges are removed. Adjacency lists come out sorted ascending. The
+// caller keeps edges, so the lists are sorted in place one by one.
 func FromEdgeList(n int, edges []Edge) (*CSR, error) {
+	offsets, err := degreeOffsets(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	g := &CSR{Offsets: offsets, Edges: scatterEdges(offsets, edges)}
+	g.SortEdges()
+	g.dedupSorted()
+	return g, nil
+}
+
+// fromOwnedEdges is FromEdgeList for a parser that owns edges and drops
+// it afterwards, built without a comparison sort. The edges are first
+// scattered into an unsorted CSR. Its transpose, written by walking the
+// source vertices in ascending order, lists every vertex's in-neighbors
+// in ascending order; the graph is symmetric, so that is the same graph
+// with every adjacency list sorted. The transpose goes into edges' own
+// storage, read as 2·len(edges) VertexIDs, which is dead once the
+// scatter has run — so the build holds two E-sized arrays at its peak,
+// as FromEdgeList does. The result equals FromEdgeList(n, edges).
+func fromOwnedEdges(n int, edges []Edge) (*CSR, error) {
+	if len(edges) == 0 { // no storage to reuse
+		return FromEdgeList(n, edges)
+	}
+	offsets, err := degreeOffsets(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	adj := scatterEdges(offsets, edges)
+	out := unsafe.Slice((*VertexID)(unsafe.Pointer(unsafe.SliceData(edges))), 2*len(edges))
+	next := slices.Clone(offsets[:n])
+	for s := 0; s < n; s++ {
+		for _, t := range adj[offsets[s]:offsets[s+1]] {
+			out[next[t]] = VertexID(s)
+			next[t]++
+		}
+	}
+	g := &CSR{Offsets: offsets, Edges: out[:offsets[n]]}
+	g.dedupSorted()
+	return g, nil
+}
+
+// degreeOffsets returns the CSR offsets of the undirected graph over n
+// vertices that edges span, self loops left out, or an error naming
+// the first edge with an endpoint out of range.
+func degreeOffsets(n int, edges []Edge) ([]int64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	deg := make([]int64, n)
+	offsets := make([]int64, n+1)
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", e.U, e.V, n)
 		}
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			offsets[int(e.U)+1]++
+			offsets[int(e.V)+1]++
 		}
-		deg[e.U]++
-		deg[e.V]++
 	}
-	offsets := make([]int64, n+1)
 	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
+		offsets[v+1] += offsets[v]
 	}
-	adj := make([]VertexID, offsets[n])
-	fill := make([]int64, n)
+	return offsets, nil
+}
+
+// scatterEdges stores every edge but self loops under both endpoints,
+// in input order: the adjacency array of an unsorted CSR over offsets.
+func scatterEdges(offsets []int64, edges []Edge) []VertexID {
+	adj := make([]VertexID, offsets[len(offsets)-1])
+	next := slices.Clone(offsets[:len(offsets)-1])
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
 		}
-		adj[offsets[e.U]+fill[e.U]] = e.V
-		fill[e.U]++
-		adj[offsets[e.V]+fill[e.V]] = e.U
-		fill[e.V]++
+		adj[next[e.U]] = e.V
+		next[e.U]++
+		adj[next[e.V]] = e.U
+		next[e.V]++
 	}
-	g := &CSR{Offsets: offsets, Edges: adj}
-	g.SortEdges()
-	g.dedupSorted()
-	return g, nil
+	return adj
 }
 
 // FromDirectedEdgeList builds a CSR storing each edge exactly as given

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -18,55 +19,76 @@ import (
 
 // ReadDIMACS parses a DIMACS .col graph.
 func ReadDIMACS(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	return ReadDIMACSContext(context.Background(), r)
+}
+
+// ReadDIMACSContext is ReadDIMACS under a context, checked between input
+// blocks. Lines of maxLineLen bytes or more fail with ErrLineTooLong.
+// The parsed edges go to the sort-free build, so the result equals
+// FromEdgeList on them.
+func ReadDIMACSContext(ctx context.Context, r io.Reader) (*CSR, error) {
+	lr := lineReader{r: r}
 	n := -1
 	var edges []Edge
 	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	var block []byte
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		switch text[0] {
-		case 'c':
-			continue
-		case 'p':
-			fields := strings.Fields(text)
-			if len(fields) < 4 || fields[1] != "edge" {
-				return nil, fmt.Errorf("graph: dimacs line %d: bad problem line %q", line, text)
+		if block = lr.next(block, parseBlockSize); len(block) == 0 {
+			break
+		}
+		for rest := block; len(rest) > 0; {
+			var raw []byte
+			raw, rest = cutLine(rest)
+			line++
+			if len(raw) >= maxLineLen {
+				return nil, &ParseError{Line: line, Err: ErrLineTooLong}
 			}
-			v, err := strconv.Atoi(fields[2])
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("graph: dimacs line %d: bad vertex count %q", line, fields[2])
+			text := strings.TrimSpace(string(raw))
+			if text == "" {
+				continue
 			}
-			n = v
-		case 'e':
-			if n < 0 {
-				return nil, fmt.Errorf("graph: dimacs line %d: edge before problem line", line)
+			switch text[0] {
+			case 'c':
+				continue
+			case 'p':
+				fields := strings.Fields(text)
+				if len(fields) < 4 || fields[1] != "edge" {
+					return nil, fmt.Errorf("graph: dimacs line %d: bad problem line %q", line, text)
+				}
+				v, err := strconv.Atoi(fields[2])
+				if err != nil || v < 0 {
+					return nil, fmt.Errorf("graph: dimacs line %d: bad vertex count %q", line, fields[2])
+				}
+				n = v
+			case 'e':
+				if n < 0 {
+					return nil, fmt.Errorf("graph: dimacs line %d: edge before problem line", line)
+				}
+				fields := strings.Fields(text)
+				if len(fields) < 3 {
+					return nil, fmt.Errorf("graph: dimacs line %d: bad edge %q", line, text)
+				}
+				u, err1 := strconv.Atoi(fields[1])
+				v, err2 := strconv.Atoi(fields[2])
+				if err1 != nil || err2 != nil || u < 1 || v < 1 || u > n || v > n {
+					return nil, fmt.Errorf("graph: dimacs line %d: edge %q out of range", line, text)
+				}
+				edges = append(edges, Edge{U: VertexID(u - 1), V: VertexID(v - 1)})
+			default:
+				return nil, fmt.Errorf("graph: dimacs line %d: unknown record %q", line, text)
 			}
-			fields := strings.Fields(text)
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("graph: dimacs line %d: bad edge %q", line, text)
-			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || u < 1 || v < 1 || u > n || v > n {
-				return nil, fmt.Errorf("graph: dimacs line %d: edge %q out of range", line, text)
-			}
-			edges = append(edges, Edge{U: VertexID(u - 1), V: VertexID(v - 1)})
-		default:
-			return nil, fmt.Errorf("graph: dimacs line %d: unknown record %q", line, text)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if err := lr.readErr(); err != nil {
+		return nil, fmt.Errorf("graph: reading dimacs: %w", err)
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("graph: dimacs input has no problem line")
 	}
-	return FromEdgeList(n, edges)
+	return fromOwnedEdges(n, edges)
 }
 
 // WriteDIMACS writes the graph in DIMACS .col format.

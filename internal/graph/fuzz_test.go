@@ -1,10 +1,14 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -12,14 +16,42 @@ import (
 // Fuzz targets: the two parsers must never panic and must only return
 // structurally valid graphs.
 
+// FuzzReadEdgeList holds ReadEdges to the scanner-based oracle it
+// replaced (oracleReadEdges): the same (n, edges, lines) at every
+// worker count and block size in parserConfigs, and an error exactly
+// when the oracle errors. Whatever it accepts must build a valid simple
+// undirected graph, equal to FromEdgeList on the oracle's edges.
 func FuzzReadEdgeList(f *testing.F) {
-	f.Add("0 1\n1 2\n")
-	f.Add("# comment\n5 5\n")
-	f.Add("999999999999 0\n")
-	f.Add("a b\n")
-	f.Add("")
+	for _, seed := range []string{
+		"0 1\n1 2\n",
+		"# comment\n5 5\n",
+		"999999999999 0\n",
+		"a b\n",
+		"",
+		"0 1\r\n1 2\r\n2 0\r\n",
+		"0\t1\n1\v2\n2\f3\n3 \t\r 4\r\r\n",
+		"0\u00a01\n1\u00852\n\u00a02 3\u0085\n",
+		"\xc2 1\n",
+		"+1 2\n",
+		"1 -2\n",
+		"18446744073709551615 0\n18446744073709551616 1\n",
+		"4294967296 4294967297\n4294967296 0\n",
+		"  # indented comment\n\t% indented too\n0 1\n",
+		"\n\n  \n\t\n0 1\n\n",
+		"0 1\n1 2",
+		"0 1 extra fields\n1 2 3 4\n",
+		"0 1\n2\n3 x\n",
+		"00 01\n1 0\n",
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
-		g, _, err := ReadEdgeList(strings.NewReader(input))
+		checkAgainstOracle(t, input)
+		n, edges, _, err := oracleReadEdges(strings.NewReader(input))
+		g, _, gerr := ReadEdgeList(strings.NewReader(input))
+		if (gerr != nil) != (err != nil) {
+			t.Fatalf("ReadEdgeList err = %v, oracle err = %v", gerr, err)
+		}
 		if err != nil {
 			return
 		}
@@ -31,6 +63,93 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if !g.IsUndirected() {
 			t.Fatal("parser returned asymmetric graph")
+		}
+		want, err := FromEdgeList(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphsEqual(t, want, g, "ReadEdgeList vs FromEdgeList")
+	})
+}
+
+// oracleReadDIMACS is the scanner-based DIMACS parser ReadDIMACS
+// replaced, building through FromEdgeList.
+func oracleReadDIMACS(r io.Reader) (*CSR, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	n := -1
+	var edges []Edge
+	for sc.Scan() {
+		text := strings.TrimSpace(sc.Text())
+		if text == "" {
+			continue
+		}
+		switch text[0] {
+		case 'c':
+			continue
+		case 'p':
+			fields := strings.Fields(text)
+			if len(fields) < 4 || fields[1] != "edge" {
+				return nil, errors.New("bad problem line")
+			}
+			v, err := strconv.Atoi(fields[2])
+			if err != nil || v < 0 {
+				return nil, errors.New("bad vertex count")
+			}
+			n = v
+		case 'e':
+			if n < 0 {
+				return nil, errors.New("edge before problem line")
+			}
+			fields := strings.Fields(text)
+			if len(fields) < 3 {
+				return nil, errors.New("bad edge")
+			}
+			u, err1 := strconv.Atoi(fields[1])
+			v, err2 := strconv.Atoi(fields[2])
+			if err1 != nil || err2 != nil || u < 1 || v < 1 || u > n || v > n {
+				return nil, errors.New("edge out of range")
+			}
+			edges = append(edges, Edge{U: VertexID(u - 1), V: VertexID(v - 1)})
+		default:
+			return nil, errors.New("unknown record")
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if n < 0 {
+		return nil, errors.New("no problem line")
+	}
+	return FromEdgeList(n, edges)
+}
+
+// FuzzReadDIMACS holds ReadDIMACS to the scanner-based oracle: an error
+// exactly when the oracle errors, and otherwise the identical CSR.
+func FuzzReadDIMACS(f *testing.F) {
+	for _, seed := range []string{
+		"c triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+		"p edge 4 5\r\ne 1 2\r\ne 2 1\r\ne 3 3\r\ne 4 1\r\ne 1 2",
+		"p edge 2 1\ne 1 5\n",
+		"p edge 2 1\ne 0 1\n",
+		"e 1 2\n",
+		"p edge 3 1\n\te\v1\f+2\n  c indented\n\u00a0e 3 1\u0085\n",
+		"p edge 3 0\np edge 1 0\ne 1 1\n",
+		"p edge 5 2\ne 1 2\np edge 2 0\n",
+		"p col 3 1\n",
+		"x 1 2\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		want, wantErr := oracleReadDIMACS(strings.NewReader(input))
+		got, err := ReadDIMACS(strings.NewReader(input))
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("err = %v, oracle err = %v", err, wantErr)
+		}
+		if err == nil {
+			graphsEqual(t, want, got, "ReadDIMACS vs oracle")
 		}
 	})
 }
@@ -93,16 +212,16 @@ func FuzzReadBinaryV2(f *testing.F) {
 		return b
 	}
 	f.Add(valid)
-	f.Add(mut(func(b []byte) { b[len(b)-1] ^= 0xff }))                                // payload checksum
-	f.Add(mut(func(b []byte) { b[57] ^= 0xff }))                                      // header checksum
-	f.Add(mut(func(b []byte) { b[12] ^= byte(binaryV2FlagBigEndian) }))               // flipped endianness flag
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[4:12], 1) }))          // v1 version in v2 image
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[32:40], 72) }))        // misaligned offsets section
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[40:48], 1<<40 | 64) }) /* far-away edges */)
-	f.Add(valid[:binaryV2HeaderSize])    // truncated: header only
-	f.Add(valid[:binaryV2HeaderSize+8])  // truncated offsets
-	f.Add(valid[:len(valid)-3])          // truncated edges
-	f.Add(valid[:40])                    // truncated header
+	f.Add(mut(func(b []byte) { b[len(b)-1] ^= 0xff }))                         // payload checksum
+	f.Add(mut(func(b []byte) { b[57] ^= 0xff }))                               // header checksum
+	f.Add(mut(func(b []byte) { b[12] ^= byte(binaryV2FlagBigEndian) }))        // flipped endianness flag
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[4:12], 1) }))   // v1 version in v2 image
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[32:40], 72) })) // misaligned offsets section
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[40:48], 1<<40|64) }) /* far-away edges */)
+	f.Add(valid[:binaryV2HeaderSize])   // truncated: header only
+	f.Add(valid[:binaryV2HeaderSize+8]) // truncated offsets
+	f.Add(valid[:len(valid)-3])         // truncated edges
+	f.Add(valid[:40])                   // truncated header
 	// A v1 image fed to the v2 parser (magic confusion the other way).
 	var v1 bytes.Buffer
 	if err := WriteBinary(&v1, g); err != nil {
@@ -173,22 +292,22 @@ func FuzzReadBinaryV3(f *testing.F) {
 		return b
 	}
 	f.Add(valid)
-	f.Add(mut(func(b []byte) { b[57] ^= 0xff }))                                 // header checksum
-	f.Add(mut(func(b []byte) { b[12] ^= byte(binaryV3FlagBigEndian) }))          // flipped endianness flag
-	f.Add(mut(func(b []byte) { b[13] ^= 0x01 }))                                 // unknown flag bit
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[4:12], 2) }))     // v2 version in v3 image
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint32(b[32:36], 0) }))    // zero shards
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint32(b[36:40], 99) }))   // unknown strategy
-	f.Add(mut(func(b []byte) { b[44] ^= 0xff }))                                 // source hash
-	f.Add(mut(func(b []byte) { b[binaryV3HeaderSize+2] ^= 0xff }))               // parts array (meta CRC)
-	f.Add(mut(func(b []byte) { b[binaryV3HeaderSize+6*4+16+8] ^= 0xff }))        // directory record
-	f.Add(mut(func(b []byte) { b[128+8] ^= 0xff }))                              // section payload
-	f.Add(mut(func(b []byte) { b[len(b)-65] ^= 0xff }))                          // last section
-	f.Add(valid[:binaryV3HeaderSize])     // truncated: header only
-	f.Add(valid[:binaryV3HeaderSize+4])   // truncated parts
-	f.Add(valid[:binaryV3HeaderSize+40])  // truncated directory
-	f.Add(valid[:len(valid)/2])           // truncated sections
-	f.Add(valid[:40])                     // truncated header
+	f.Add(mut(func(b []byte) { b[57] ^= 0xff }))                               // header checksum
+	f.Add(mut(func(b []byte) { b[12] ^= byte(binaryV3FlagBigEndian) }))        // flipped endianness flag
+	f.Add(mut(func(b []byte) { b[13] ^= 0x01 }))                               // unknown flag bit
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[4:12], 2) }))   // v2 version in v3 image
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint32(b[32:36], 0) }))  // zero shards
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint32(b[36:40], 99) })) // unknown strategy
+	f.Add(mut(func(b []byte) { b[44] ^= 0xff }))                               // source hash
+	f.Add(mut(func(b []byte) { b[binaryV3HeaderSize+2] ^= 0xff }))             // parts array (meta CRC)
+	f.Add(mut(func(b []byte) { b[binaryV3HeaderSize+6*4+16+8] ^= 0xff }))      // directory record
+	f.Add(mut(func(b []byte) { b[128+8] ^= 0xff }))                            // section payload
+	f.Add(mut(func(b []byte) { b[len(b)-65] ^= 0xff }))                        // last section
+	f.Add(valid[:binaryV3HeaderSize])                                          // truncated: header only
+	f.Add(valid[:binaryV3HeaderSize+4])                                        // truncated parts
+	f.Add(valid[:binaryV3HeaderSize+40])                                       // truncated directory
+	f.Add(valid[:len(valid)/2])                                                // truncated sections
+	f.Add(valid[:40])                                                          // truncated header
 	// A v2 image fed to the v3 parser (version confusion the other way).
 	var v2 bytes.Buffer
 	if err := WriteBinaryV2(&v2, g); err != nil {

@@ -8,10 +8,14 @@ package bitcolor
 
 import (
 	"context"
+	"errors"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bitcolor/internal/gen"
+	"bitcolor/internal/graph"
 )
 
 // TestMappedV2MatchesV1AllDatasets saves each of the ten Table 3
@@ -220,5 +224,50 @@ func TestRegistryZeroAllocSweep(t *testing.T) {
 	}
 	if pool.InUse() != 0 || pool.Waiting() != 0 {
 		t.Errorf("pool not idle after sweep: in use %d, waiting %d", pool.InUse(), pool.Waiting())
+	}
+}
+
+// OpenGraphFileContext hands its context to the text parsers: an ended
+// context stops an edge-list or DIMACS load with ctx.Err(), while a
+// live one loads the same graph LoadGraph does.
+func TestOpenGraphFileContextTextHonorsCancel(t *testing.T) {
+	g, err := Generate("GD", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "gd.txt"), filepath.Join(dir, "gd.col")}
+	writers := []func(*os.File) error{
+		func(f *os.File) error { return graph.WriteEdgeList(f, g) },
+		func(f *os.File) error { return graph.WriteDIMACS(f, g, "") },
+	}
+	for i, path := range paths {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writers[i](f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := OpenGraphFileContext(ctx, path); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", path, err)
+		}
+		h, err := OpenGraphFileContext(context.Background(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := LoadGraph(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(h.Graph().Offsets, want.Offsets) || !slices.Equal(h.Graph().Edges, want.Edges) {
+			t.Fatalf("%s: OpenGraphFileContext and LoadGraph disagree", path)
+		}
+		h.Close()
 	}
 }

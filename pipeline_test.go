@@ -3,8 +3,11 @@ package bitcolor
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"bitcolor/internal/graph"
 )
 
 func pipelineGraph(t *testing.T) *Graph {
@@ -219,5 +222,67 @@ func TestEngineInfoMetadata(t *testing.T) {
 	names := EngineNames()
 	if len(names) != len(Engines()) {
 		t.Fatalf("EngineNames length %d vs Engines %d", len(names), len(Engines()))
+	}
+}
+
+// countVerifies swaps in a verify pass that counts its calls, for the
+// rest of the test.
+func countVerifies(t *testing.T) *int {
+	t.Helper()
+	calls := new(int)
+	orig := verifyColoring
+	verifyColoring = func(g *graph.CSR, colors []uint16) error {
+		*calls++
+		return orig(g, colors)
+	}
+	t.Cleanup(func() { verifyColoring = orig })
+	return calls
+}
+
+// A pipeline run verifies its coloring exactly once — on the original
+// graph, after un-permuting — while ColorContext called directly keeps
+// its own pass.
+func TestPipelineVerifiesOnce(t *testing.T) {
+	g := pipelineGraph(t)
+	calls := countVerifies(t)
+	for _, p := range []Pipeline{
+		{Color: ColorOptions{Engine: EngineDCT, Workers: 2}},
+		{SkipPreprocess: true, Color: ColorOptions{Engine: EngineBitwise}},
+	} {
+		*calls = 0
+		if _, err := p.Run(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+		if *calls != 1 {
+			t.Fatalf("%+v: %d verify passes, want 1", p, *calls)
+		}
+	}
+	*calls = 0
+	if _, _, err := ColorContext(context.Background(), g, ColorOptions{Engine: EngineDCT}); err != nil {
+		t.Fatal(err)
+	}
+	if *calls != 1 {
+		t.Fatalf("ColorContext: %d verify passes, want 1", *calls)
+	}
+}
+
+// An engine coloring that is not proper still fails the run, though the
+// color stage no longer verifies it. The graph lists 0→1 without 1→0,
+// so greedy gives both vertices color 1, and the edge from 0 shows it.
+func TestPipelineRejectsCorruptColoring(t *testing.T) {
+	g, err := graph.FromDirectedEdgeList(2, []graph.Edge{{U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := countVerifies(t)
+	pr, err := Pipeline{SkipPreprocess: true, Color: ColorOptions{Engine: EngineGreedy}}.Run(context.Background(), g)
+	if err == nil || !strings.Contains(err.Error(), "invalid coloring") {
+		t.Fatalf("err = %v, want an invalid-coloring error", err)
+	}
+	if pr.Result != nil {
+		t.Fatal("a failed run returned a result")
+	}
+	if *calls != 1 {
+		t.Fatalf("%d verify passes, want 1", *calls)
 	}
 }
