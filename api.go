@@ -691,11 +691,18 @@ const (
 // on ctx abort the run promptly with ctx.Err().
 func ColorContext(ctx context.Context, g *Graph, opts ColorOptions) (*Result, RunStats, error) {
 	res, st, err := colorUnverified(ctx, g, opts)
+	return checked(opts.Engine, res, st, err, func(colors []uint16) error { return verifyColoring(g, colors) })
+}
+
+// checked applies a coloring call's one verify pass: an engine error
+// passes through unchanged, and a coloring that verify rejects fails
+// the call.
+func checked(e Engine, res *Result, st RunStats, err error, verify func([]uint16) error) (*Result, RunStats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	if err := verifyColoring(g, res.Colors); err != nil {
-		return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
+	if err := verify(res.Colors); err != nil {
+		return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", e, err)
 	}
 	return res, st, nil
 }
@@ -735,16 +742,16 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 		return nil, RunStats{}, fmt.Errorf("bitcolor: unknown engine %v", opts.Engine)
 	}
 	sharded := int(opts.Engine) == int(EngineSharded)
+	o := opts.Observer
+	if o == nil {
+		o = obs.FromContext(ctx)
+	}
 	if opts.OutOfCore || h.OutOfCore() {
 		if h.sf == nil {
 			return nil, RunStats{}, fmt.Errorf("bitcolor: out-of-core coloring needs a BCSR v3 handle (this one is %s)", h.Format())
 		}
 		if !sharded {
 			return nil, RunStats{}, fmt.Errorf("bitcolor: out-of-core coloring requires EngineSharded, not %v", opts.Engine)
-		}
-		o := opts.Observer
-		if o == nil {
-			o = obs.FromContext(ctx)
 		}
 		eopts := opts.engineOptions()
 		eopts.OutOfCore = true
@@ -757,35 +764,19 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 		res, st, err := info.Run(ctx, skel, eopts)
 		after := h.sf.Stats()
 		o.RecordShardMap(after.Maps-before.Maps, after.Unmaps-before.Unmaps, after.PeakResidentBytes)
-		if err != nil {
-			return nil, st, err
-		}
-		if err := coloring.VerifySharded(h.sf, res.Colors); err != nil {
-			return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
-		}
-		return res, st, nil
+		return checked(opts.Engine, res, st, err, func(colors []uint16) error { return coloring.VerifySharded(h.sf, colors) })
 	}
 	g := h.Graph()
+	eopts := opts.engineOptions()
 	if sharded && h.sf != nil {
 		if a, name, ok := cachedPartition(h.sf, &opts); ok {
-			o := opts.Observer
-			if o == nil {
-				o = obs.FromContext(ctx)
-			}
 			o.RecordPartitionCache(name)
-			eopts := opts.engineOptions()
+			eopts = opts.engineOptions()
 			eopts.Partition = a
-			res, st, err := info.Run(ctx, g, eopts)
-			if err != nil {
-				return nil, st, err
-			}
-			if err := coloring.Verify(g, res.Colors); err != nil {
-				return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
-			}
-			return res, st, nil
 		}
 	}
-	return ColorContext(ctx, g, opts)
+	res, st, err := info.Run(ctx, g, eopts)
+	return checked(opts.Engine, res, st, err, func(colors []uint16) error { return verifyColoring(g, colors) })
 }
 
 // cachedPartition decides whether the handle's persisted assignment can

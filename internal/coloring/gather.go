@@ -67,12 +67,12 @@ type Options struct {
 	// shard count and it covers the graph; otherwise the engine
 	// partitions as usual.
 	Partition *partition.Assignment
-	// OutOfCore routes the sharded engine to the bounded-residency
-	// streaming executor; requires ShardFile. Other engines ignore it.
+	// OutOfCore makes the sharded engine stream ShardFile under a
+	// bounded residency instead of reading the graph in core; requires
+	// ShardFile. Other engines ignore it.
 	OutOfCore bool
-	// MaxResidentShards bounds how many shard payloads the streaming
-	// executor keeps mapped at once (<=0: 1; clamped to the file's shard
-	// count).
+	// MaxResidentShards bounds how many shard payloads a streamed run
+	// keeps mapped at once (<=0: 1; clamped to the file's shard count).
 	MaxResidentShards int
 	// ShardFile is the open BCSR v3 handle an out-of-core run streams
 	// from. The graph argument of such a run is a skeleton (offsets

@@ -55,7 +55,7 @@ type EngineInfo struct {
 	// Grant adapts the options when the pool granted fewer slots than
 	// Demand asked for (the pool cap is smaller than the request). Nil
 	// defaults to Workers = granted for parallel engines.
-	Grant func(opts Options, granted int) Options
+	Grant func(g *graph.CSR, opts Options, granted int) Options
 }
 
 // registry holds engines in registration order; the order is part of the
@@ -142,7 +142,7 @@ func admitted(info EngineInfo, run EngineFunc) EngineFunc {
 		}
 		if granted < want {
 			if info.Grant != nil {
-				opts = info.Grant(opts, granted)
+				opts = info.Grant(g, opts, granted)
 			} else if info.Parallel {
 				opts.Workers = granted
 			}
@@ -369,37 +369,19 @@ func init() {
 		Run: func(ctx context.Context, g *graph.CSR, opts Options) (*Result, metrics.RunStats, error) {
 			return ShardedOpts(ctx, g, opts.maxColors(), opts)
 		},
-		// The interior phase runs shards × workers goroutines, so the
-		// pool demand is the product, and a short grant shrinks the
+		// The interior phase runs resident-shards × workers goroutines
+		// (every shard in core, the residency bound when streamed), so
+		// the pool demand is the product, and a short grant shrinks the
 		// per-shard worker count (never the shard count — partitioning
 		// is part of the result's identity).
 		Demand: func(g *graph.CSR, opts Options) int {
 			n := g.NumVertices()
-			if opts.OutOfCore && opts.ShardFile != nil {
-				// A streamed run never has more than its residency bound
-				// of shards active, so that — not the shard count — is
-				// the concurrency it asks the pool for.
-				return resolveWorkers(opts.Workers, n) * streamResidency(opts)
-			}
-			shards := opts.Shards
-			if shards <= 0 {
-				shards = 1
-			}
-			if n > 0 && shards > n {
-				shards = n
-			}
-			return resolveWorkers(opts.Workers, n) * shards
+			_, _, resident := shardLayout(opts, n)
+			return resolveWorkers(opts.Workers, n) * resident
 		},
-		Grant: func(opts Options, granted int) Options {
-			if opts.OutOfCore && opts.ShardFile != nil {
-				opts.Workers = max(1, granted/streamResidency(opts))
-				return opts
-			}
-			shards := opts.Shards
-			if shards <= 0 {
-				shards = 1
-			}
-			opts.Workers = max(1, granted/shards)
+		Grant: func(g *graph.CSR, opts Options, granted int) Options {
+			_, _, resident := shardLayout(opts, g.NumVertices())
+			opts.Workers = max(1, granted/resident)
 			return opts
 		},
 	})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bitcolor/internal/exec"
 	"bitcolor/internal/graph"
 	"bitcolor/internal/metrics"
 )
@@ -207,5 +208,32 @@ func TestRegistryStatsContract(t *testing.T) {
 		if !info.Parallel && st.Workers != 0 {
 			t.Fatalf("%s: sequential engine reported %d workers", info.Name, st.Workers)
 		}
+	}
+}
+
+// TestRegistryShardedGrantClampsShards pins the sharded engine's short
+// pool grant to the shard count the run really uses: on a 3-vertex
+// graph Shards=8 clamps to 3, Demand asks 3 shards × 3 workers, and a
+// 6-slot pool's grant must split into 2 workers per shard, not 6/8.
+func TestRegistryShardedGrantClampsShards(t *testing.T) {
+	g := pathGraph(t, 3)
+	info, ok := Lookup("sharded")
+	if !ok {
+		t.Fatal("sharded missing")
+	}
+	opts := Options{Shards: 8, Workers: 4}
+	if want := info.Demand(g, opts); want != 9 {
+		t.Fatalf("Demand = %d, want 9", want)
+	}
+	opts.Pool = exec.NewPool(6)
+	res, st, err := info.Run(context.Background(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(g, res.Colors); err != nil {
+		t.Fatal(err)
+	}
+	if st.Shards != 3 || st.Workers != 2 {
+		t.Fatalf("shards=%d workers=%d, want 3 shards × 2 workers", st.Shards, st.Workers)
 	}
 }

@@ -40,6 +40,9 @@ import (
 // cross-shard color (the parts test precedes the load), so the only
 // cross-shard communication in the whole engine is the frontier phase
 // reading colors the barrier already ordered.
+//
+// One executor runs the protocol over either shard source (shardSource):
+// the in-core CSR, or a BCSR v3 file streamed under a residency bound.
 const (
 	// PartitionRanges selects contiguous index-range partitioning (the
 	// zero-cost default, what a naive multi-card deployment gets).
@@ -64,20 +67,25 @@ const (
 // phase-one wait can hang on a vertex that went to the frontier.
 const shardMark = ^uint32(0)
 
-// BuildPartition builds the sharded engine's partition for a graph
-// without running it — the entry the BCSR v3 writer uses so a persisted
-// assignment matches what ShardedOpts would have computed for the same
-// (shards, strategy). Shards are clamped exactly as ShardedOpts clamps
-// them.
-func BuildPartition(g *graph.CSR, shards int, strategy string) (*partition.Assignment, error) {
-	n := g.NumVertices()
+// clampShards resolves a requested shard count for an n-vertex graph:
+// <=0 means one shard, and no more shards than vertices.
+func clampShards(shards, n int) int {
 	if shards <= 0 {
 		shards = 1
 	}
 	if n > 0 && shards > n {
 		shards = n
 	}
-	return shardedPartition(g, shards, strategy, nil)
+	return shards
+}
+
+// BuildPartition builds the sharded engine's partition for a graph
+// without running it — the entry the BCSR v3 writer uses so a persisted
+// assignment matches what ShardedOpts would have computed for the same
+// (shards, strategy). Shards are clamped exactly as ShardedOpts clamps
+// them.
+func BuildPartition(g *graph.CSR, shards int, strategy string) (*partition.Assignment, error) {
+	return shardedPartition(g, clampShards(shards, g.NumVertices()), strategy, nil)
 }
 
 // shardedPartition resolves the partition strategy and builds the
@@ -94,32 +102,102 @@ func shardedPartition(g *graph.CSR, shards int, strategy string, sc *Scratch) (*
 		strategy, PartitionRanges, PartitionLabelProp)
 }
 
+// shardSource is where the executor reads a run's adjacency from. In
+// core, g holds every shard resident and lists holds each shard's
+// ascending vertex list, so mapping a shard costs nothing. Streamed, sf
+// maps one shard's sections per interior runner and the boundary blocks
+// for the frontier. parts is the assignment either way.
+type shardSource struct {
+	g     *graph.CSR
+	lists [][]graph.VertexID
+	sf    *graph.ShardedFile
+	parts []int32
+}
+
+// adjView is the resident part of a shard source one phase reads: the
+// CSR in core, one mapped shard or the mapped boundary blocks streamed.
+// The kernels pick a vertex's adjacency out of it inline, so reaching
+// it costs at most one call (LocalIndex or Find when streamed) and the
+// neighbor loops none.
+type adjView struct {
+	g   *graph.CSR
+	sm  *graph.ShardMap
+	bms []*graph.BoundaryMap
+}
+
+// mapShard makes shard k resident and returns its ascending vertex list.
+func (src *shardSource) mapShard(k int) (adjView, []graph.VertexID, error) {
+	if src.sf == nil {
+		return adjView{g: src.g}, src.lists[k], nil
+	}
+	sm, err := src.sf.MapShard(k)
+	if err != nil {
+		return adjView{}, nil, err
+	}
+	return adjView{sm: sm}, sm.VMap, nil
+}
+
+// mapFrontier makes every frontier vertex's lower neighbors resident.
+// Streamed, every runtime frontier vertex must appear in its shard's
+// persisted boundary block: a CRC-consistent file that lies about the
+// frontier is caught here rather than by a nil adjacency.
+func (src *shardSource) mapFrontier(frontier []graph.VertexID) (adjView, error) {
+	if src.sf == nil {
+		return adjView{g: src.g}, nil
+	}
+	av := adjView{bms: make([]*graph.BoundaryMap, src.sf.Shards())}
+	for k := range av.bms {
+		bm, err := src.sf.MapBoundary(k)
+		if err != nil {
+			av.close()
+			return adjView{}, err
+		}
+		av.bms[k] = bm
+	}
+	for _, v := range frontier {
+		if _, ok := av.bms[src.parts[v]].Find(v); !ok {
+			av.close()
+			return adjView{}, fmt.Errorf("coloring: v3 boundary block of shard %d is missing frontier vertex %d (corrupt file)", src.parts[v], v)
+		}
+	}
+	return av, nil
+}
+
+// close retires whatever the view mapped.
+func (av *adjView) close() {
+	if av.sm != nil {
+		av.sm.Close()
+	}
+	for _, bm := range av.bms {
+		if bm != nil {
+			bm.Close()
+		}
+	}
+}
+
 // ShardedOpts runs the sharded engine: opts.Shards parts (<=1 degenerates
 // to the plain DCT path, so the sharding layer costs the single-shard
 // case nothing), opts.Workers goroutines per shard in the interior phase
-// and the same worker count over the frontier. Cancellation, palette
-// exhaustion and scratch reuse follow the DCT engine's contract.
+// and the same worker count over the frontier. With opts.OutOfCore and
+// opts.ShardFile set, the run streams the file instead: its partition
+// replaces opts.Shards, at most MaxResidentShards shards are mapped at
+// once, and g only sizes the run. Cancellation, palette exhaustion and
+// scratch reuse follow the DCT engine's contract.
 func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.ParallelStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, metrics.ParallelStats{}, err
 	}
-	if opts.OutOfCore && opts.ShardFile != nil {
-		return shardedStream(ctx, maxColors, opts)
-	}
 	n := g.NumVertices()
+	sf, shards, resident := shardLayout(opts, n)
+	if sf != nil {
+		n = sf.NumVertices()
+	}
 	workers := resolveWorkers(opts.Workers, n)
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	if n > 0 && shards > n {
-		shards = n
-	}
 	sc := opts.Scratch
 	if !sc.fits("sharded", workers) {
 		sc = nil
 	}
-	if shards <= 1 || n == 0 {
+	if sf == nil && (shards <= 1 || n == 0) {
 		// One shard has no boundary: the interior phase *is* the whole
 		// run, and running it through dctRun keeps the single-shard path
 		// exactly as fast (and, at one worker, exactly as allocation-free)
@@ -128,37 +206,48 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		st.Shards = 1
 		return res, st, err
 	}
-
-	// A precomputed assignment (the BCSR v3 partition-cache path) replaces
-	// the partitioning sweep when it matches this run's shape; anything
-	// else falls through to partitioning as usual.
-	a := opts.Partition
-	if a == nil || a.K != shards || len(a.Parts) != n {
-		var err error
-		a, err = shardedPartition(g, shards, opts.PartitionStrategy, sc)
-		if err != nil {
-			return nil, metrics.ParallelStats{}, err
+	src := shardSource{sf: sf}
+	st := metrics.ParallelStats{Workers: workers, Shards: shards}
+	// The streamed source keeps the gather off: its decision reads the
+	// CSR's average degree, which the offsets-only skeleton lacks, and
+	// the boundary blocks hold only u<v entries, leaving PUV nothing to
+	// prune.
+	var useGather, gatherAuto, sorted bool
+	if sf != nil {
+		src.parts = sf.Parts()
+		if len(src.parts) != n {
+			return nil, metrics.ParallelStats{}, fmt.Errorf("coloring: v3 partition covers %d of %d vertices", len(src.parts), n)
 		}
+		st.BoundaryVertices, st.CutEdges = sf.Boundary(), sf.CutEdges()
+		st.ResidentShards = resident
+		sorted = sf.EdgesSorted()
+	} else {
+		// A precomputed assignment (the BCSR v3 partition-cache path)
+		// replaces the partitioning sweep when it matches this run's
+		// shape; anything else falls through to partitioning as usual.
+		a := opts.Partition
+		if a == nil || a.K != shards || len(a.Parts) != n {
+			var err error
+			a, err = shardedPartition(g, shards, opts.PartitionStrategy, sc)
+			if err != nil {
+				return nil, metrics.ParallelStats{}, err
+			}
+		}
+		cl := partition.Classify(g, a)
+		st.BoundaryVertices, st.CutEdges = cl.Boundary, cl.CutEdges
+		src.g, src.parts, src.lists = g, a.Parts, a.VertexLists(sc.orderBuf(n))
+		sorted = g.EdgesSorted()
+		useGather, gatherAuto = gatherDecision(g, opts)
 	}
-	parts := a.Parts
-	cl := partition.Classify(g, a)
-	lists := a.VertexLists(sc.orderBuf(n))
+	parts := src.parts
 
-	flat := shards * workers // interior goroutines, one counter shard each
+	flat := shards * workers // one counter shard, scratch and ring per (shard, worker) lane
 	ss := sc.shardSet(flat)
 	// Arm the live mirrors: the interior and frontier OwnerLoops refresh
 	// them at their poll checkpoints, so /debug/runs sees per-lane
 	// progress across all shards × workers (nil-safe no-op otherwise).
 	opts.Run.AttachShards(ss)
-	st := metrics.ParallelStats{
-		Workers:          workers,
-		Shards:           shards,
-		BoundaryVertices: cl.Boundary,
-		CutEdges:         cl.CutEdges,
-	}
-	useGather, gatherAuto := gatherDecision(g, opts)
 	shared := sc.sharedBuf(n)
-	sorted := g.EdgesSorted()
 	rings := sc.ringSet(ForwardRingCap)
 
 	esp := opts.Span
@@ -190,9 +279,15 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 	// scan never stops early at a pending or marked neighbor — a later
 	// cross-shard neighbor must still win, or CrossShardDefers would
 	// depend on timing.
-	attemptInterior := func(s *workerScratch, v graph.VertexID, pv int32) (graph.VertexID, exec.Outcome) {
+	attemptInterior := func(s *workerScratch, av *adjView, v graph.VertexID, pv int32) (graph.VertexID, exec.Outcome) {
 		s.state.Reset()
-		adj := g.Neighbors(v)
+		var adj []graph.VertexID
+		if av.sm != nil {
+			li, _ := av.sm.LocalIndex(v) // v comes from sm.VMap, so it resolves
+			adj = av.sm.Neighbors(li)
+		} else {
+			adj = av.g.Neighbors(v)
+		}
 		var firstPending graph.VertexID
 		pending, cascade := false, false
 		for i, u := range adj {
@@ -256,37 +351,63 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		}
 	}
 
-	// Interior phase: shards × workers goroutines; goroutine (s, w) owns
-	// positions w, w+P, … of shard s's ascending vertex list — the DCT
-	// owner-computes schedule applied per shard. The per-goroutine phase
-	// timings land in a pooled buffer (fresh only without a Scratch).
-	phaseStart := time.Now()
+	// Interior phase: `resident` runner goroutines pull shard indices
+	// from a shared cursor; each maps its shard, colors it with the full
+	// worker complement, and retires the mapping before claiming the
+	// next. The runner count — not the shard count — bounds concurrent
+	// mappings, which is the whole residency invariant; in core every
+	// shard is resident, so every shard gets a runner. Worker w of shard
+	// s owns positions w, w+P, … of the shard's ascending vertex list —
+	// the DCT owner-computes schedule applied per shard. The per-lane
+	// phase timings land in a pooled buffer (fresh only without a
+	// Scratch).
 	flatDur := sc.durBuf(0, flat)
 	if flatDur == nil {
 		flatDur = make([]time.Duration, flat)
 	}
-	exec.Go(flat, func(idx int) {
-		defer func() { flatDur[idx] = time.Since(phaseStart) }()
-		shard, w := idx/workers, idx%workers
-		pv := int32(shard)
-		s := ws[idx]
-		loop := exec.OwnerLoop{
-			Ctx:   ctx,
-			Abort: &abort,
-			Ring:  s.ring,
-			Shard: s.sh,
-			Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-				return attemptInterior(s, v, pv)
-			},
-			// A mark is progress too: the awaited vertex went to the
-			// frontier, and the replay cascades the parked vertex after
-			// it instead of waiting forever.
-			Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != 0 },
-			FailErr:   ErrPaletteExhausted,
-			Clock:     clock,
-			OnForward: onForward,
+	var nextShard atomic.Int64
+	mapErrs := make([]error, resident)
+	exec.Go(resident, func(runner int) {
+		for {
+			if abort.Load() || ctx.Err() != nil {
+				return
+			}
+			shard := int(nextShard.Add(1)) - 1
+			if shard >= shards {
+				return
+			}
+			av, verts, err := src.mapShard(shard)
+			if err != nil {
+				mapErrs[runner] = err
+				abort.Store(true)
+				return
+			}
+			pv := int32(shard)
+			shardStart := time.Now()
+			exec.Go(workers, func(w int) {
+				idx := shard*workers + w
+				defer func() { flatDur[idx] = time.Since(shardStart) }()
+				s := ws[idx]
+				loop := exec.OwnerLoop{
+					Ctx:   ctx,
+					Abort: &abort,
+					Ring:  s.ring,
+					Shard: s.sh,
+					Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
+						return attemptInterior(s, &av, v, pv)
+					},
+					// A mark is progress too: the awaited vertex went to
+					// the frontier, and the replay cascades the parked
+					// vertex after it instead of waiting forever.
+					Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != 0 },
+					FailErr:   ErrPaletteExhausted,
+					Clock:     clock,
+					OnForward: onForward,
+				}
+				s.err = loop.RunList(verts, w, workers)
+			})
+			av.close()
 		}
-		s.err = loop.RunList(lists[shard], w, workers)
 	})
 
 	foldStats := func() {
@@ -303,6 +424,9 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 			AutoDisabled:   gatherAuto,
 		}
 		st.ForwardRingPeak = rings.Peak()
+		if sf != nil {
+			st.PeakMappedBytes = sf.Stats().PeakResidentBytes
+		}
 	}
 
 	// Interior vertex counts are folded per shard before the frontier
@@ -328,16 +452,29 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		}
 	}
 
+	for _, err := range mapErrs {
+		if err != nil {
+			foldStats()
+			return nil, st, err
+		}
+	}
 	for _, s := range ws {
 		if s.err != nil {
 			foldStats()
 			return nil, st, s.err
 		}
 	}
+	// Runners stop claiming shards on cancellation, so an unclaimed
+	// shard leaves no lane error behind: check the context itself.
+	if err := ctx.Err(); err != nil {
+		foldStats()
+		return nil, st, err
+	}
 
 	// The barrier: every vertex is now colored or marked. Collect the
 	// frontier in ascending index order — membership is structural, so
-	// this list (and its size) is identical across timings.
+	// this list (and its size) is identical across timings and matches
+	// a v3 file's persisted boundary blocks exactly.
 	frontier := sc.pendingBuf(n)[:0]
 	for v := range shared {
 		if shared[v] == shardMark {
@@ -347,13 +484,30 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 	st.FrontierVertices = len(frontier)
 
 	// Frontier phase: the DCT loop over the frontier list with the mark
-	// standing in for "pending". A zero color is impossible here, so the
-	// wait conditions test against the sentinel instead.
+	// standing in for "pending". Streamed, the boundary blocks hold each
+	// frontier vertex's u<v adjacency — the exact subsequence the in-core
+	// scan walks — so resolving the frontier maps only the cut, never a
+	// full shard.
 	if len(frontier) > 0 {
+		av, err := src.mapFrontier(frontier)
+		if err != nil {
+			foldStats()
+			return nil, st, err
+		}
 		fw := min(workers, len(frontier))
 		attemptFrontier := func(s *workerScratch, v graph.VertexID) (graph.VertexID, exec.Outcome) {
 			s.state.Reset()
-			adj := g.Neighbors(v)
+			// The CSR holds v's whole adjacency; a boundary block holds
+			// only its u<v entries, so the u > v filter below is a no-op
+			// there.
+			var adj []graph.VertexID
+			if av.bms != nil {
+				bm := av.bms[parts[v]]
+				i, _ := bm.Find(v) // mapFrontier prechecked every frontier vertex
+				adj = bm.Neighbors(i)
+			} else {
+				adj = av.g.Neighbors(v)
+			}
 			for i, u := range adj {
 				if u > v {
 					if !sorted {
@@ -393,8 +547,8 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 				Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
 					return attemptFrontier(s, v)
 				},
-				// A zero color is impossible on the frontier, so "published"
-				// tests against the mark sentinel instead.
+				// A zero color is impossible on the frontier, so
+				// "published" tests against the mark sentinel instead.
 				Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != shardMark },
 				FailErr:   ErrPaletteExhausted,
 				Clock:     clock,
@@ -402,6 +556,7 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 			}
 			s.err = loop.RunList(frontier, w, fw)
 		})
+		av.close()
 	}
 
 	foldStats()
@@ -414,12 +569,16 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 	opts.Run.SetRound(1)
 	// One interior pass plus its bounded frontier resolution form the
 	// engine's single round, mirroring the DCT round-span convention.
-	esp.Child("round").Attr("round", 1).Attr("pending", int64(n)).
+	round := esp.Child("round").Attr("round", 1).Attr("pending", int64(n)).
 		Attr("conflicts_found", int64(0)).Attr("recolored", int64(0)).
 		Attr("deferred", st.Deferred).Attr("ring_peak", int64(st.ForwardRingPeak)).
 		Attr("shards", int64(shards)).Attr("frontier", int64(st.FrontierVertices)).
 		Attr("cross_shard_defers", st.CrossShardDefers).
-		Attr("cut_edges", st.CutEdges).End()
+		Attr("cut_edges", st.CutEdges)
+	if sf != nil {
+		round.Attr("resident_shards", int64(resident))
+	}
+	round.End()
 
 	colors := sc.colorsBuf(n)
 	for i, c := range shared {

@@ -124,6 +124,35 @@ func TestColorHandlePartitionCache(t *testing.T) {
 	}
 }
 
+// A partition-cache hit verifies its coloring exactly once, through
+// the same verify pass as ColorContext.
+func TestColorHandlePartitionCacheVerifiesOnce(t *testing.T) {
+	g, err := Generate("EF", 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ef.bcsr")
+	if err := SaveGraphV3(path, g, 4, PartitionRanges); err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenGraphFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	calls := countVerifies(t)
+	o := NewObserver()
+	if _, _, err := ColorHandle(h, ColorOptions{Engine: EngineSharded, Workers: 2, Observer: o}); err != nil {
+		t.Fatal(err)
+	}
+	if hits := o.Metrics().Counter("bitcolor_partition_cache_hits_total").Value(PartitionRanges); hits != 1 {
+		t.Fatalf("cache hits = %d, want 1", hits)
+	}
+	if *calls != 1 {
+		t.Fatalf("cache-hit ColorHandle: %d verify passes, want 1", *calls)
+	}
+}
+
 // TestColorHandleOutOfCore pins the end-to-end streaming path: an
 // out-of-core handle colors byte-identically to the in-core engine,
 // reports bounded residency, feeds the shard-map metric families, and
