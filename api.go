@@ -691,17 +691,19 @@ const (
 // on ctx abort the run promptly with ctx.Err().
 func ColorContext(ctx context.Context, g *Graph, opts ColorOptions) (*Result, RunStats, error) {
 	res, st, err := colorUnverified(ctx, g, opts)
-	return checked(opts.Engine, res, st, err, func(colors []uint16) error { return verifyColoring(g, colors) })
+	return checked(opts.Engine, res, st, err, func(colors []uint16, workers int) error { return verifyColoring(g, colors, workers) })
 }
 
 // checked applies a coloring call's one verify pass: an engine error
 // passes through unchanged, and a coloring that verify rejects fails
-// the call.
-func checked(e Engine, res *Result, st RunStats, err error, verify func([]uint16) error) (*Result, RunStats, error) {
+// the call. verify runs at the width the run was granted, so a
+// sequential engine verifies sequentially and verification never uses
+// more goroutines than coloring did.
+func checked(e Engine, res *Result, st RunStats, err error, verify func(colors []uint16, workers int) error) (*Result, RunStats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	if err := verify(res.Colors); err != nil {
+	if err := verify(res.Colors, verifyWidth(st)); err != nil {
 		return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", e, err)
 	}
 	return res, st, nil
@@ -720,7 +722,11 @@ func colorUnverified(ctx context.Context, g *Graph, opts ColorOptions) (*Result,
 
 // verifyColoring is the verify pass of ColorContext and Pipeline.Run.
 // Tests replace it to count the passes.
-var verifyColoring = coloring.Verify
+var verifyColoring = coloring.VerifyParallel
+
+// verifyWidth is the width of a run's verify pass: the workers the pool
+// granted the engine, at least one.
+func verifyWidth(st RunStats) int { return max(st.Workers, 1) }
 
 // ColorHandle runs a software coloring engine against an opened graph
 // handle. It is ColorHandleContext without cancellation.
@@ -764,7 +770,9 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 		res, st, err := info.Run(ctx, skel, eopts)
 		after := h.sf.Stats()
 		o.RecordShardMap(after.Maps-before.Maps, after.Unmaps-before.Unmaps, after.PeakResidentBytes)
-		return checked(opts.Engine, res, st, err, func(colors []uint16) error { return coloring.VerifySharded(h.sf, colors) })
+		// The shard-by-shard verify stays sequential: two shards mapped
+		// at once could raise the handle's peak residency.
+		return checked(opts.Engine, res, st, err, func(colors []uint16, _ int) error { return coloring.VerifySharded(h.sf, colors) })
 	}
 	g := h.Graph()
 	eopts := opts.engineOptions()
@@ -776,7 +784,7 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 		}
 	}
 	res, st, err := info.Run(ctx, g, eopts)
-	return checked(opts.Engine, res, st, err, func(colors []uint16) error { return verifyColoring(g, colors) })
+	return checked(opts.Engine, res, st, err, func(colors []uint16, workers int) error { return verifyColoring(g, colors, workers) })
 }
 
 // cachedPartition decides whether the handle's persisted assignment can

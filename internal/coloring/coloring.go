@@ -11,6 +11,7 @@ package coloring
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"bitcolor/internal/exec"
 	"bitcolor/internal/graph"
@@ -69,15 +70,18 @@ func (s OpStats) Total() int64 {
 // Stage1Ops returns the combined Stage-1 cost (scan + clear).
 func (s OpStats) Stage1Ops() int64 { return s.Stage1ScanOps + s.Stage1ClearOps }
 
-// countColors returns the number of distinct nonzero colors.
+// countColors returns the number of distinct nonzero colors, marking
+// each in a 65536-bit bitmap on the stack: no allocation, one pass.
 func countColors(colors []uint16) int {
-	seen := make(map[uint16]struct{})
+	var seen [1 << 16 / 64]uint64
+	count := 0
 	for _, c := range colors {
-		if c != 0 {
-			seen[c] = struct{}{}
+		if c != 0 && seen[c>>6]&(1<<(c&63)) == 0 {
+			seen[c>>6] |= 1 << (c & 63)
+			count++
 		}
 	}
-	return len(seen)
+	return count
 }
 
 // MaxColor returns the largest color number used (0 if none).
@@ -94,23 +98,80 @@ func MaxColor(colors []uint16) uint16 {
 // Verify checks that the assignment is a proper coloring: every vertex is
 // colored and no two adjacent vertices share a color. It returns the
 // first violation found.
-func Verify(g *graph.CSR, colors []uint16) error {
+func Verify(g *graph.CSR, colors []uint16) error { return VerifyParallel(g, colors, 1) }
+
+// VerifyParallel is Verify spread over `workers` goroutines. Each stored
+// edge is checked from its own endpoint, so a one-way CSR is checked
+// exactly as it is stored. Width 1 is a plain loop with no goroutines
+// and no allocations. Wider, workers claim vertex blocks and keep an
+// atomic minimum of the lowest violating vertex; a sequential re-scan
+// from that minimum builds the error, so it is byte-identical to
+// Verify's at every width.
+func VerifyParallel(g *graph.CSR, colors []uint16, workers int) error {
 	n := g.NumVertices()
 	if len(colors) != n {
 		return fmt.Errorf("coloring: %d colors for %d vertices", len(colors), n)
 	}
-	for v := 0; v < n; v++ {
+	from := 0
+	if workers > 1 {
+		from = lowestViolation(g, colors, workers)
+	}
+	v, w := firstViolation(g, colors, from, n)
+	switch {
+	case v == n:
+		return nil
+	case w < 0:
+		return fmt.Errorf("coloring: vertex %d uncolored", v)
+	}
+	return fmt.Errorf("coloring: adjacent vertices %d and %d share color %d", v, w, colors[v])
+}
+
+// lowestViolation runs firstViolation over cursor blocks on `workers`
+// goroutines and returns the lowest violating vertex, or n if there is
+// none.
+func lowestViolation(g *graph.CSR, colors []uint16, workers int) int {
+	var cur exec.BlockCursor
+	cur.Reset(len(colors))
+	var lowest atomic.Int64
+	lowest.Store(int64(len(colors)))
+	exec.Go(workers, func(int) {
+		for {
+			// The cursor hands out blocks in ascending order, so once a
+			// claimed block starts at or past the lowest violation every
+			// later one does too.
+			lo, hi, ok := cur.Next()
+			if !ok || int64(lo) >= lowest.Load() {
+				return
+			}
+			if v, _ := firstViolation(g, colors, lo, hi); v < hi {
+				for old := lowest.Load(); int64(v) < old; old = lowest.Load() {
+					if lowest.CompareAndSwap(old, int64(v)) {
+						break
+					}
+				}
+				return
+			}
+		}
+	})
+	return int(lowest.Load())
+}
+
+// firstViolation returns the lowest vertex v in [lo, hi) that is
+// uncolored (w = -1) or shares its color with its stored neighbor w, or
+// v = hi if there is none.
+func firstViolation(g *graph.CSR, colors []uint16, lo, hi int) (v, w int) {
+	for v := lo; v < hi; v++ {
 		cv := colors[v]
 		if cv == 0 {
-			return fmt.Errorf("coloring: vertex %d uncolored", v)
+			return v, -1
 		}
 		for _, w := range g.Neighbors(graph.VertexID(v)) {
 			if colors[w] == cv {
-				return fmt.Errorf("coloring: adjacent vertices %d and %d share color %d", v, w, cv)
+				return v, int(w)
 			}
 		}
 	}
-	return nil
+	return hi, -1
 }
 
 // ErrPaletteExhausted is returned when a graph needs more colors than the

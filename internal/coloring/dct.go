@@ -239,7 +239,7 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 	for i, c := range shared {
 		colors[i] = uint16(c)
 	}
-	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
+	return sc.result(colors, countColors(colors), OpStats{}), st, nil
 }
 
 // dctSequential is the one-worker fast path of DCTOpts: the same owned
@@ -324,5 +324,5 @@ func dctSequential(ctx context.Context, g *graph.CSR, maxColors int, opts Option
 	for i, c := range shared {
 		colors[i] = uint16(c)
 	}
-	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
+	return sc.result(colors, countColors(colors), OpStats{}), st, nil
 }

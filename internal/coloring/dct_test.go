@@ -234,7 +234,7 @@ func TestDCTRaceStress(t *testing.T) {
 // (recorded in GatherStats), ForceGather overrides the heuristic, and
 // DisableGather is never reported as an auto decision.
 func TestAdaptiveGatherDecision(t *testing.T) {
-	sparse := pathGraph(t, 4000)                    // avg degree ~2: below the threshold
+	sparse := pathGraph(t, 4000)                            // avg degree ~2: below the threshold
 	dense, _ := reorder.DBG(randomGraph(t, 1000, 12000, 5)) // avg degree ~24: above it
 	engines := []struct {
 		name string

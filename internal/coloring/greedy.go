@@ -164,7 +164,7 @@ func BitwiseGreedyScratch(ctx context.Context, g *graph.CSR, maxColors int, prun
 		st.Stage2Ops++
 		colors[v] = result
 	}
-	return sc.result(colors, sc.distinctColors(colors), st), nil
+	return sc.result(colors, countColors(colors), st), nil
 }
 
 // GreedyOrdered colors vertices in the given order with the bit-wise

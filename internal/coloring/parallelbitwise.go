@@ -364,5 +364,5 @@ func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts 
 	for i, c := range shared {
 		colors[i] = uint16(c)
 	}
-	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
+	return sc.result(colors, countColors(colors), OpStats{}), st, nil
 }

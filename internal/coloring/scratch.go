@@ -40,7 +40,6 @@ type Scratch struct {
 	parts   []int32 // partition assignment vector (sharded engine)
 	perWk   [3][]int64
 	durs    [2][]time.Duration
-	seen    []uint64 // distinct-color bitmap: 65536 bits, lazily built
 	res     Result
 	shards  *obs.ShardSet
 	ws      []*workerScratch
@@ -264,31 +263,6 @@ func (s *Scratch) result(colors []uint16, numColors int, st OpStats) *Result {
 	}
 	s.res = Result{Colors: colors, NumColors: numColors, Stats: st}
 	return &s.res
-}
-
-// distinctColors counts distinct nonzero colors. With a Scratch it uses
-// a retained 8 KiB bitmap instead of countColors's map (the map is the
-// one unavoidable allocation in the engines' epilogue otherwise).
-func (s *Scratch) distinctColors(colors []uint16) int {
-	if s == nil {
-		return countColors(colors)
-	}
-	if s.seen == nil {
-		s.seen = make([]uint64, 1<<16/64)
-	} else {
-		clear(s.seen)
-	}
-	count := 0
-	for _, c := range colors {
-		if c == 0 {
-			continue
-		}
-		if s.seen[c>>6]&(1<<(c&63)) == 0 {
-			s.seen[c>>6] |= 1 << (c & 63)
-			count++
-		}
-	}
-	return count
 }
 
 // workerScratch is one worker's reusable hot-path state, shared by the

@@ -254,7 +254,7 @@ func SpeculativeOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Opti
 	for i, c := range shared {
 		colors[i] = uint16(c)
 	}
-	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
+	return sc.result(colors, countColors(colors), OpStats{}), st, nil
 }
 
 // sortVertexIDs is a small insertion/shell sort to avoid pulling sort

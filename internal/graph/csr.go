@@ -32,7 +32,22 @@ type CSR struct {
 	// Engines never look at it; it exists so handle types can tell a
 	// mapped view from an owned copy.
 	backing interface{ Close() error }
+
+	// sorted caches EdgesSorted. Only newMappedCSR sets it, from the
+	// Validate walk it already makes: a PROT_READ mapping cannot change
+	// after the check. Heap graphs leave it unknown and rescan, because
+	// their owners rewrite lists in place (SortEdges, ShuffleEdges).
+	sorted sortState
 }
+
+// sortState is a CSR's cached sortedness.
+type sortState uint8
+
+const (
+	sortUnknown sortState = iota
+	sortYes
+	sortNo
+)
 
 // Backed reports whether the CSR's payload aliases externally owned
 // storage (an open mmap region) rather than process-owned slices.
@@ -103,32 +118,56 @@ func (g *CSR) HasEdge(u, v VertexID) bool {
 // exactly, and every destination within range. It returns the first
 // violation found.
 func (g *CSR) Validate() error {
+	_, err := g.validate()
+	return err
+}
+
+// validate is Validate's walk. It also reports whether every adjacency
+// list is ascending, so a mapping learns EdgesSorted in the same pass.
+func (g *CSR) validate() (sorted bool, err error) {
 	n := g.NumVertices()
 	if len(g.Offsets) == 0 {
 		if len(g.Edges) != 0 {
-			return fmt.Errorf("graph: %d edges with empty offsets", len(g.Edges))
+			return false, fmt.Errorf("graph: %d edges with empty offsets", len(g.Edges))
 		}
-		return nil
+		return true, nil
 	}
 	if g.Offsets[0] != 0 {
-		return fmt.Errorf("graph: Offsets[0] = %d, want 0", g.Offsets[0])
+		return false, fmt.Errorf("graph: Offsets[0] = %d, want 0", g.Offsets[0])
 	}
 	for v := 0; v < n; v++ {
 		if g.Offsets[v+1] < g.Offsets[v] {
-			return fmt.Errorf("graph: offsets not monotone at vertex %d (%d > %d)",
+			return false, fmt.Errorf("graph: offsets not monotone at vertex %d (%d > %d)",
 				v, g.Offsets[v], g.Offsets[v+1])
 		}
 	}
 	if g.Offsets[n] != int64(len(g.Edges)) {
-		return fmt.Errorf("graph: Offsets[%d] = %d, want len(Edges) = %d",
+		return false, fmt.Errorf("graph: Offsets[%d] = %d, want len(Edges) = %d",
 			n, g.Offsets[n], len(g.Edges))
 	}
-	for i, d := range g.Edges {
-		if int(d) >= n {
-			return fmt.Errorf("graph: edge %d destination %d out of range (n=%d)", i, d, n)
+	// One flat walk of the edges: a running maximum checks the range and
+	// every descent is counted. A descent where a nonempty list starts is
+	// allowed, so those are taken back in an O(V) pass; what is left is a
+	// descent inside some list.
+	var top, prev VertexID
+	descents := 0
+	for _, d := range g.Edges {
+		top = max(top, d)
+		if d < prev {
+			descents++
+		}
+		prev = d
+	}
+	if len(g.Edges) > 0 && int(top) >= n {
+		i := slices.IndexFunc(g.Edges, func(d VertexID) bool { return int(d) >= n })
+		return false, fmt.Errorf("graph: edge %d destination %d out of range (n=%d)", i, g.Edges[i], n)
+	}
+	for v := 1; v < n && descents > 0; v++ {
+		if i := g.Offsets[v]; i > 0 && i < g.Offsets[v+1] && g.Edges[i-1] > g.Edges[i] {
+			descents--
 		}
 	}
-	return nil
+	return descents == 0, nil
 }
 
 // IsUndirected reports whether every stored edge has its reverse present.
@@ -158,8 +197,12 @@ func (g *CSR) HasSelfLoops() bool {
 
 // EdgesSorted reports whether every vertex's adjacency list is in
 // ascending destination order — the paper's preprocessing invariant for
-// DRAM read merging (§3.2.2) and tail pruning.
+// DRAM read merging (§3.2.2) and tail pruning. A mapped graph answers
+// from the flag its Validate pass stored; a heap graph scans its lists.
 func (g *CSR) EdgesSorted() bool {
+	if g.sorted != sortUnknown {
+		return g.sorted == sortYes
+	}
 	for v := 0; v < g.NumVertices(); v++ {
 		adj := g.Neighbors(VertexID(v))
 		for i := 1; i < len(adj); i++ {

@@ -224,7 +224,7 @@ func parseV2Header(hdr []byte) (v2HeaderFields, error) {
 	f.offsetsOff = binary.LittleEndian.Uint64(hdr[32:40])
 	f.edgesOff = binary.LittleEndian.Uint64(hdr[40:48])
 	f.payloadSum = binary.LittleEndian.Uint64(hdr[48:56])
-	if f.flags &^ binaryV2FlagBigEndian != 0 {
+	if f.flags&^binaryV2FlagBigEndian != 0 {
 		return f, fmt.Errorf("graph: unknown v2 flags %#x", f.flags)
 	}
 	if f.nv > binaryMaxVertices {
@@ -308,8 +308,13 @@ func ReadBinaryV2(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("graph: v2 payload checksum mismatch (got %#x, want %#x)", sum, f.payloadSum)
 	}
 	g := &CSR{Offsets: offsets, Edges: edges}
-	if err := g.Validate(); err != nil {
+	sorted, err := g.validate()
+	if err != nil {
 		return nil, fmt.Errorf("graph: v2 payload invalid: %w", err)
+	}
+	g.sorted = sortNo
+	if sorted {
+		g.sorted = sortYes
 	}
 	return g, nil
 }
@@ -518,8 +523,13 @@ func newMappedCSR(data []byte, fields v2HeaderFields) (*MappedCSR, error) {
 	} else {
 		g.Edges = []VertexID{}
 	}
-	if err := g.Validate(); err != nil {
+	sorted, err := g.validate()
+	if err != nil {
 		return nil, fmt.Errorf("graph: v2 payload invalid: %w", err)
+	}
+	g.sorted = sortNo
+	if sorted {
+		g.sorted = sortYes
 	}
 	// The offset scan is sequential, the edge walks are effectively
 	// random from the kernel's viewpoint; hint accordingly (best effort).

@@ -365,6 +365,12 @@ func (rr *RunRegistry) LiveRuns() []LiveRun {
 	out := make([]LiveRun, 0, len(recs))
 	for _, r := range recs {
 		r.mu.Lock()
+		if r.done {
+			// Finish ran between the copy and here: its shards are
+			// detached, so its progress would read as zero.
+			r.mu.Unlock()
+			continue
+		}
 		lr := LiveRun{
 			ID:          r.id,
 			RunID:       r.runID,

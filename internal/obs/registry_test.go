@@ -183,6 +183,28 @@ func TestRunRecordLiveProgress(t *testing.T) {
 	}
 }
 
+// A run that finishes after LiveRuns copied the live list, but before
+// it read the run, is left out rather than shown running with zero
+// progress: live progress never goes backwards.
+func TestLiveRunsSkipsRunFinishedMidScrape(t *testing.T) {
+	rr := NewRunRegistry(4)
+	rec := rr.Begin(context.Background(), New(WithRunID("mid")), "dct", 100, 200)
+	ss := NewShardSet(1)
+	rec.AttachShards(ss)
+	ss.Shard(0).Add(CtrVertices, 64)
+	ss.Shard(0).PublishAll()
+	if live := rr.LiveRuns(); len(live) != 1 || live[0].Progress.Vertices != 64 {
+		t.Fatalf("live runs = %+v", live)
+	}
+	// Finish's first half: shards detached, not yet deregistered.
+	rec.mu.Lock()
+	rec.done, rec.shards = true, nil
+	rec.mu.Unlock()
+	if live := rr.LiveRuns(); len(live) != 0 {
+		t.Fatalf("finished run still listed live: %+v", live)
+	}
+}
+
 func TestRunStatusClassification(t *testing.T) {
 	rr := NewRunRegistry(8)
 	o := New(WithRunID("status"))

@@ -161,7 +161,7 @@ func (p Pipeline) Run(ctx context.Context, g *Graph) (*PipelineResult, error) {
 	// permutation would break properness on g.
 	sp = root.Child("verify")
 	start = time.Now()
-	err = verifyColoring(g, res.Colors)
+	err = verifyColoring(g, res.Colors, verifyWidth(pr.Stats))
 	stage("verify", start, sp, err)
 	if err != nil {
 		return pr, fmt.Errorf("bitcolor: pipeline produced an invalid coloring: %w", err)

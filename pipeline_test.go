@@ -231,9 +231,9 @@ func countVerifies(t *testing.T) *int {
 	t.Helper()
 	calls := new(int)
 	orig := verifyColoring
-	verifyColoring = func(g *graph.CSR, colors []uint16) error {
+	verifyColoring = func(g *graph.CSR, colors []uint16, workers int) error {
 		*calls++
-		return orig(g, colors)
+		return orig(g, colors, workers)
 	}
 	t.Cleanup(func() { verifyColoring = orig })
 	return calls
