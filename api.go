@@ -416,10 +416,10 @@ type preprocessConfig struct {
 	workers int
 }
 
-// WithPreprocessParallelism sets the number of goroutines the
-// preprocessing pipeline (degree scatter, relabel, per-vertex edge
-// sorting) may use; n <= 0 means GOMAXPROCS. The output is identical to
-// the sequential pipeline at any parallelism.
+// WithPreprocessParallelism sets the number of goroutines the DBG
+// relabel may use; n <= 0 means GOMAXPROCS. The relabel writes every
+// adjacency list already ascending, so there is no sorting pass, and
+// the output is identical to the sequential relabel at any parallelism.
 func WithPreprocessParallelism(n int) PreprocessOption {
 	return func(c *preprocessConfig) { c.workers = n }
 }

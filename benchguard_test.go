@@ -60,6 +60,10 @@ type benchBaseline struct {
 	// worker) of the resident graph — what the text load path costs
 	// next to the coloring it feeds.
 	IngestRatio float64 `json:"edgelist_ingest_vs_color_ratio"`
+	// PreprocessRatio is Preprocess (DBG on two workers) of the raw CL
+	// stand-in / warm dct color (one worker) of the preprocessed graph —
+	// what the sort-free relabel costs next to the coloring it feeds.
+	PreprocessRatio float64 `json:"preprocess_vs_color_ratio"`
 }
 
 func loadBaseline(t *testing.T) benchBaseline {
@@ -72,7 +76,7 @@ func loadBaseline(t *testing.T) benchBaseline {
 	if err := json.Unmarshal(data, &b); err != nil {
 		t.Fatal(err)
 	}
-	if b.SchemaVersion != 1 || b.GDRatio <= 0 || b.DCTRatio <= 0 || b.E2ERatio <= 0 || b.ShardRatio <= 0 || b.ExecRatio <= 0 || b.OutOfCoreRatio <= 0 || b.IngestRatio <= 0 {
+	if b.SchemaVersion != 1 || b.GDRatio <= 0 || b.DCTRatio <= 0 || b.E2ERatio <= 0 || b.ShardRatio <= 0 || b.ExecRatio <= 0 || b.OutOfCoreRatio <= 0 || b.IngestRatio <= 0 || b.PreprocessRatio <= 0 {
 		t.Fatalf("implausible baseline %+v", b)
 	}
 	return b
@@ -426,6 +430,55 @@ func TestBenchGuardEdgeListIngest(t *testing.T) {
 	if ratio > limit {
 		t.Fatalf("edge-list ingest regressed: ratio %.4f exceeds baseline %.4f by more than 10%% on every attempt",
 			ratio, base.IngestRatio)
+	}
+}
+
+// TestBenchGuardPreprocess pins the preprocessing step: Preprocess of
+// the raw CL stand-in over a warm single-worker dct color of the
+// preprocessed graph, min of 7 interleaved runs each. The relabel runs
+// on GOMAXPROCS workers, so like the edge-list guard this one fixes
+// GOMAXPROCS at 2, skips on a 1-CPU host, and takes the best of up to
+// three attempts.
+func TestBenchGuardPreprocess(t *testing.T) {
+	if os.Getenv(benchGuardEnv) == "" {
+		t.Skipf("set %s=1 to run the preprocess guard", benchGuardEnv)
+	}
+	if runtime.NumCPU() < 2 {
+		t.Skip("the guard's baseline is for two relabel workers; this host has one CPU")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	raw, err := Generate("CL", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := Preprocess(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := loadBaseline(t)
+	limit := base.PreprocessRatio * 1.10
+	var ratio float64
+	for attempt := 1; ; attempt++ {
+		runtime.GC()
+		color, prep := minTimePair(7, func() {
+			if _, _, err := ColorParallel(prepared, ColorOptions{Engine: EngineDCT, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}, func() {
+			if _, err := Preprocess(raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ratio = float64(prep) / float64(color)
+		t.Logf("attempt %d: preprocess %v / warm color %v = ratio %.4f (baseline %.4f, limit %.4f)",
+			attempt, prep, color, ratio, base.PreprocessRatio, limit)
+		if ratio <= limit || attempt == 3 {
+			break
+		}
+	}
+	if ratio > limit {
+		t.Fatalf("preprocess regressed: ratio %.4f exceeds baseline %.4f by more than 10%% on every attempt",
+			ratio, base.PreprocessRatio)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command preprocess applies BitColor's preprocessing — degree-based
-// grouping (DBG) reordering and per-vertex edge sorting — to a graph and
-// reports the Table 2 style timings (reordering vs coloring) plus a
-// per-stage breakdown (load / build / sort / DBG) of the pipeline.
+// grouping (DBG) reordering, which writes every adjacency list
+// ascending — to a graph and reports the Table 2 style timings
+// (reordering vs coloring) plus a per-stage breakdown (load / DBG) of
+// the pipeline.
 //
 // Usage:
 //
@@ -112,31 +113,17 @@ func saveGraph(path string, g *bitcolor.Graph, cfg saveConfig) error {
 }
 
 func run(input, dataset, out string, seed int64, showTime bool, parallel int, save saveConfig, convert bool) error {
-	// Stage 1+2: load (parse text / read binary / generate) and build
-	// (CSR construction). Text edge lists split the two so the parallel
-	// builder's share is visible; the other sources build internally.
+	// Stage 1: load (parse and build text / read binary / generate).
 	var (
-		g         *bitcolor.Graph
-		err       error
-		loadTime  time.Duration
-		buildTime time.Duration
+		g        *bitcolor.Graph
+		err      error
+		loadTime time.Duration
 	)
 	start := time.Now()
 	switch {
 	case input != "" && isEdgeListPath(input):
-		f, ferr := os.Open(input)
-		if ferr != nil {
-			return ferr
-		}
-		n, edges, _, perr := graph.ReadEdges(f)
-		f.Close()
-		if perr != nil {
-			return perr
-		}
+		g, err = graph.LoadEdgeListFile(input)
 		loadTime = time.Since(start)
-		start = time.Now()
-		g, err = graph.FromEdgeListParallel(n, edges, parallel)
-		buildTime = time.Since(start)
 	case input != "":
 		g, err = bitcolor.LoadGraph(input)
 		loadTime = time.Since(start)
@@ -161,30 +148,21 @@ func run(input, dataset, out string, seed int64, showTime bool, parallel int, sa
 		return saveGraph(out, g, save)
 	}
 
-	// Stage 3: per-vertex edge sorting (a no-op when the source already
-	// guarantees it — the check is part of the stage).
-	start = time.Now()
-	if !g.EdgesSorted() {
-		g.SortEdgesParallel(parallel)
-	}
-	sortTime := time.Since(start)
-
-	// Stage 4: DBG reordering (degree sort + parallel relabel).
+	// Stage 2: DBG reordering (degree sort + parallel relabel; the
+	// relabel writes every list ascending whatever the input order).
 	start = time.Now()
 	prepared, perm := reorder.DBGParallel(g, parallel)
 	dbgTime := time.Since(start)
 	if err := perm.Validate(); err != nil {
 		return fmt.Errorf("internal: %w", err)
 	}
-	total := loadTime + buildTime + sortTime + dbgTime
+	total := loadTime + dbgTime
 	fmt.Printf("reordered %d vertices, %d edges in %v\n",
 		prepared.NumVertices(), prepared.UndirectedEdgeCount(), dbgTime.Round(time.Microsecond))
 	fmt.Printf("degree-descending: %v, edges sorted: %v\n",
 		reorder.IsDegreeDescending(prepared), prepared.EdgesSorted())
-	fmt.Printf("pipeline: load %v, build %v, sort %v, dbg %v (total %v)\n",
-		loadTime.Round(time.Microsecond), buildTime.Round(time.Microsecond),
-		sortTime.Round(time.Microsecond), dbgTime.Round(time.Microsecond),
-		total.Round(time.Microsecond))
+	fmt.Printf("pipeline: load %v, dbg %v (total %v)\n",
+		loadTime.Round(time.Microsecond), dbgTime.Round(time.Microsecond), total.Round(time.Microsecond))
 
 	if showTime {
 		start = time.Now()

@@ -3,10 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bitcolor"
 	"bitcolor/internal/graph"
+	"bitcolor/internal/reorder"
 )
 
 func TestRunDatasetWithTiming(t *testing.T) {
@@ -49,8 +51,10 @@ func TestRunFromFile(t *testing.T) {
 	}
 }
 
-// A text edge list goes through the split parse + parallel-build path;
-// the written output must match the dataset path's result.
+// A text edge list is loaded by the owned, sort-free build
+// (graph.LoadEdgeListFile, parse and build timed as one load); the
+// written output must equal DBG of the same text parsed by ReadEdges and
+// built by the sorting FromEdgeList.
 func TestRunFromEdgeListText(t *testing.T) {
 	g, err := bitcolor.Generate("EF", 3)
 	if err != nil {
@@ -80,6 +84,23 @@ func TestRunFromEdgeListText(t *testing.T) {
 	if got.NumEdges() != g.NumEdges() || got.NumVertices() > g.NumVertices() || got.NumVertices() == 0 {
 		t.Fatalf("round trip changed the graph: %d/%d vs %d/%d vertices/edges",
 			got.NumVertices(), got.NumEdges(), g.NumVertices(), g.NumEdges())
+	}
+	f, err = os.Open(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	n, edges, _, err := graph.ReadEdges(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := graph.FromEdgeList(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := reorder.DBG(built)
+	if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Edges, want.Edges) {
+		t.Fatal("written graph differs from DBG of the sorting build")
 	}
 }
 

@@ -66,29 +66,19 @@ func (p *Permutation) Validate() error {
 // preprocessing cost is itself an evaluation subject (Table 2).
 func DegreeDescending(g *graph.CSR) *Permutation {
 	n := g.NumVertices()
-	maxDeg := 0
-	degs := make([]int, n)
+	// start[d] counts the vertices of degree d; a prefix from the top
+	// turns it into each degree class's first slot in descending order.
+	start := make([]int, g.MaxDegree()+1)
 	for v := 0; v < n; v++ {
-		degs[v] = g.Degree(graph.VertexID(v))
-		if degs[v] > maxDeg {
-			maxDeg = degs[v]
-		}
+		start[g.Degree(graph.VertexID(v))]++
 	}
-	// counts[d] = number of vertices with degree d; prefix from the top
-	// gives each degree class its slot range in descending order.
-	counts := make([]int, maxDeg+2)
-	for _, d := range degs {
-		counts[d]++
-	}
-	start := make([]int, maxDeg+2)
 	acc := 0
-	for d := maxDeg; d >= 0; d-- {
-		start[d] = acc
-		acc += counts[d]
+	for d := len(start) - 1; d >= 0; d-- {
+		start[d], acc = acc, acc+start[d]
 	}
 	order := make([]graph.VertexID, n)
 	for v := 0; v < n; v++ { // ascending v preserves the ID tie-break
-		d := degs[v]
+		d := g.Degree(graph.VertexID(v))
 		order[start[d]] = graph.VertexID(v)
 		start[d]++
 	}
@@ -104,27 +94,10 @@ func DegreeDescending(g *graph.CSR) *Permutation {
 
 // Apply returns a new graph with vertices renamed through p. Adjacency
 // lists of the result are sorted ascending (the paper performs edge
-// sorting as part of preprocessing anyway).
+// sorting as part of preprocessing anyway), without a comparison sort:
+// Apply is the width-1 call of the relabel kernel in parallel.go.
 func Apply(g *graph.CSR, p *Permutation) *graph.CSR {
-	n := g.NumVertices()
-	offsets := make([]int64, n+1)
-	for old := 0; old < n; old++ {
-		offsets[p.NewID[old]+1] = int64(g.Degree(graph.VertexID(old)))
-	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	edges := make([]graph.VertexID, g.NumEdges())
-	for old := 0; old < n; old++ {
-		nw := p.NewID[old]
-		dst := edges[offsets[nw]:]
-		for i, d := range g.Neighbors(graph.VertexID(old)) {
-			dst[i] = p.NewID[d]
-		}
-	}
-	out := &graph.CSR{Offsets: offsets, Edges: edges}
-	out.SortEdges()
-	return out
+	return relabel(g, p, 1)
 }
 
 // DBG runs the full degree-based-grouping preprocessing: compute the
